@@ -2,7 +2,8 @@
 
 Boots a real :class:`SweepServer` (process executor, fresh cache) and
 fires ``SUBMISSIONS`` concurrent submissions of the same 4-cell grid
-from rotating tenants over HTTP, starting **cold** so the harness
+from rotating tenants over HTTP (``CONCURRENCY`` threads, each driving
+the synchronous :class:`ServeClient`), starting **cold** so the harness
 exercises every path at once: the first submission enqueues the four
 cells, the storm behind it rides along via in-flight dedup, and
 everything after the cells land is a submit-time cache hit.  A warm
@@ -21,12 +22,13 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.core.schemes import Scheme
 from repro.experiments.config import ExperimentScale
 from repro.experiments.spec import SimSpec
-from repro.serve.client import AsyncServeClient, ServerBusy
+from repro.serve.client import ServeClient, ServerBusy
 from repro.serve.scheduler import JobStore
 from repro.serve.server import SweepServer
 
@@ -43,7 +45,7 @@ SUBMISSIONS = 1000
 TENANTS = 8
 WORKERS = 4
 MAX_PENDING = 1024
-CONCURRENCY = 128  # simultaneous open client connections (fd budget)
+CONCURRENCY = 128  # client threads, each with one open connection
 
 
 def _percentile(sorted_values: list, q: float) -> float:
@@ -51,26 +53,21 @@ def _percentile(sorted_values: list, q: float) -> float:
     return sorted_values[index]
 
 
-async def _submit_and_wait(
-    client: AsyncServeClient, gate: asyncio.Semaphore
-) -> dict:
+def _submit_and_wait(client: ServeClient) -> dict:
     """One tenant submission: submit (retrying on 429) and run to done."""
     start = time.perf_counter()
     attempts = 0
-    async with gate:
-        while True:
-            try:
-                snapshot = await client.submit(GRID)
-                break
-            except ServerBusy as busy:
-                attempts += 1
-                if attempts > 50:
-                    raise
-                await asyncio.sleep(busy.retry_after_s)
-        if snapshot.state != "done":
-            snapshot = await client.wait(
-                snapshot.job_id, poll_s=0.2, timeout_s=600.0
-            )
+    while True:
+        try:
+            snapshot = client.submit(GRID)
+            break
+        except ServerBusy as busy:
+            attempts += 1
+            if attempts > 50:
+                raise
+            time.sleep(busy.retry_after_s)
+    if snapshot.state != "done":
+        snapshot = client.wait(snapshot.job_id).snapshot
     return {
         "latency_s": time.perf_counter() - start,
         "failed": snapshot.failed,
@@ -94,26 +91,30 @@ async def _storm() -> dict:
     await store.start()
     server = SweepServer(store, port=0)
     port = await server.start()
+    loop = asyncio.get_running_loop()
+    pool = ThreadPoolExecutor(max_workers=CONCURRENCY)
     try:
         clients = [
-            AsyncServeClient(port=port, tenant=f"tenant-{i}")
+            ServeClient(port=port, tenant=f"tenant-{i}")
             for i in range(TENANTS)
         ]
-        gate = asyncio.Semaphore(CONCURRENCY)
-
         start = time.perf_counter()
         outcomes = await asyncio.gather(*(
-            _submit_and_wait(clients[i % TENANTS], gate)
+            loop.run_in_executor(pool, _submit_and_wait, clients[i % TENANTS])
             for i in range(SUBMISSIONS)
         ))
         elapsed = time.perf_counter() - start
 
         # Steady-state pass: everything is cached, jobs finish at submit.
         warm_start = time.perf_counter()
-        warm = await clients[0].submit(GRID)
+        warm = await loop.run_in_executor(pool, clients[0].submit, GRID)
         warm_latency = time.perf_counter() - warm_start
-        totals = await clients[0].stats()
+        totals = await loop.run_in_executor(pool, clients[0].stats)
+        totals.pop("journal_path", None)  # where this host put it
     finally:
+        # Not waiting: a failed run must not block the loop the
+        # server's replies to the remaining threads depend on.
+        pool.shutdown(wait=False, cancel_futures=True)
         await server.close()
         await store.close()
         shutil.rmtree(store.cache.root, ignore_errors=True)
@@ -223,15 +224,20 @@ async def _warm_submission_rate(cache_dir: str, journal: bool) -> float:
     await store.start()
     server = SweepServer(store, port=0)
     port = await server.start()
-    try:
-        client = AsyncServeClient(port=port, tenant="bench")
-        primer = await client.submit(GRID)
-        assert primer.state == "done"  # warm: resolved at submit time
+    client = ServeClient(port=port, tenant="bench")
 
+    def submit_all() -> float:
+        primer = client.submit(GRID)
+        assert primer.state == "done"  # warm: resolved at submit time
         start = time.perf_counter()
         for __ in range(WARM_SUBMISSIONS):
-            await client.submit(GRID)
-        elapsed = time.perf_counter() - start
+            client.submit(GRID)
+        return time.perf_counter() - start
+
+    try:
+        elapsed = await asyncio.get_running_loop().run_in_executor(
+            None, submit_all
+        )
     finally:
         await server.close()
         await store.close()

@@ -13,7 +13,8 @@ Turns the CLI batch tool into an async simulation server:
   recover its jobs, queues, and open leases on restart.
 * :mod:`repro.serve.protocol` — stdlib HTTP framing plus the versioned
   typed wire messages (``protocol_version``-stamped frozen dataclasses)
-  every peer shares; version skew fails loudly with a structured 400.
+  every peer shares, read and written by one field-driven codec; version
+  skew and malformed bodies fail loudly with a structured 400.
 * :mod:`repro.serve.server` — a stdlib-only asyncio HTTP/JSON front end
   (submit grids, stream NDJSON progress, fetch results and cached
   artifacts, grant leases) started by ``python -m repro serve``.
@@ -22,7 +23,7 @@ Turns the CLI batch tool into an async simulation server:
   execute via :func:`~repro.experiments.orchestrator.execute_cell`,
   push results back for artifact replication; rides out head restarts
   with jittered backoff and drains gracefully on ``SIGTERM``.
-* :mod:`repro.serve.client` — sync and async clients raising one typed
+* :mod:`repro.serve.client` — the synchronous client raising one typed
   :class:`~repro.serve.client.ServeError` hierarchy; ``repro sweep
   --server URL`` routes an ordinary sweep through a running head.
 * :mod:`repro.serve.backoff` — the shared full-jitter backoff helper
@@ -38,7 +39,7 @@ share results.
 
 from repro.serve.backoff import Backoff, jittered
 from repro.serve.chaos import ChaosClient, ChaosSchedule, RestartableHead
-from repro.serve.client import AsyncServeClient, ServeClient, ServeError
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.journal import Journal
 from repro.serve.protocol import PROTOCOL_VERSION
 from repro.serve.scheduler import (
@@ -52,7 +53,6 @@ from repro.serve.server import SweepServer
 from repro.serve.worker import WorkerNode
 
 __all__ = [
-    "AsyncServeClient",
     "Backoff",
     "ChaosClient",
     "ChaosSchedule",

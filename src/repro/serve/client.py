@@ -7,23 +7,19 @@
   NDJSON event stream, and folds the delivered results back into an
   ordinary :class:`~repro.experiments.orchestrator.SweepSummary`, so
   server-side and local sweeps are interchangeable to callers.
-* :class:`AsyncServeClient` — raw-asyncio, one connection per request;
-  used by the load harness to hold a thousand submissions in flight on
-  one event loop.
 
-Both speak the versioned typed messages of :mod:`repro.serve.protocol`
+It speaks the versioned typed messages of :mod:`repro.serve.protocol`
 (:class:`SubmitRequest` out, :class:`JobSnapshot`/:class:`JobResults`
-back, the lease triple for workers) and raise one :class:`ServeError`
+back, the lease triple for workers) and raises one :class:`ServeError`
 hierarchy: every failure — transport, backpressure, protocol skew,
 unknown resources, server faults — is a subclass carrying the parsed
 :class:`~repro.serve.protocol.ErrorBody` and a BSD-``sysexits``-style
-``exit_code`` the CLI returns verbatim.  Neither client imports
-anything beyond the stdlib.
+``exit_code`` the CLI returns verbatim.  It imports nothing beyond the
+stdlib.
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import random
@@ -48,6 +44,8 @@ from repro.serve.protocol import (
     ResultAck,
     ResultPush,
     SubmitRequest,
+    decode,
+    encode,
 )
 
 
@@ -289,6 +287,11 @@ class ServeClient:
         raise_for_status(status, headers, body)
         return body
 
+    def _call(self, reply_cls, method: str, path: str, request=None):
+        """One typed exchange: encode ``request``, decode the reply."""
+        payload = None if request is None else encode(request)
+        return decode(reply_cls, self._json(method, path, payload))
+
     # -- surface ---------------------------------------------------------------
 
     def health(self) -> dict:
@@ -317,20 +320,14 @@ class ServeClient:
     def submit(self, specs: Sequence[SimSpec]) -> JobSnapshot:
         """Submit a grid; returns the snapshot (raises ServerBusy on 429)."""
         request = SubmitRequest(specs=tuple(specs), tenant=self.tenant)
-        return JobSnapshot.from_dict(
-            self._json("POST", "/jobs", request.to_dict())
-        )
+        return self._call(JobSnapshot, "POST", "/jobs", request)
 
     def job(self, job_id: str, detail: bool = True) -> JobSnapshot:
         suffix = "" if detail else "?detail=0"
-        return JobSnapshot.from_dict(
-            self._json("GET", f"/jobs/{job_id}{suffix}")
-        )
+        return self._call(JobSnapshot, "GET", f"/jobs/{job_id}{suffix}")
 
     def results(self, job_id: str) -> JobResults:
-        return JobResults.from_dict(
-            self._json("GET", f"/jobs/{job_id}/results")
-        )
+        return self._call(JobResults, "GET", f"/jobs/{job_id}/results")
 
     def artifact(self, spec_hash: str) -> dict:
         return self._json("GET", f"/cells/{spec_hash}")
@@ -340,21 +337,17 @@ class ServeClient:
     def lease(self, worker_id: str, max_cells: int = 4) -> LeaseGrant:
         """Ask the head for a batch of cells (empty grant when idle)."""
         request = LeaseRequest(worker_id=worker_id, max_cells=max_cells)
-        return LeaseGrant.from_dict(
-            self._json("POST", "/leases", request.to_dict())
-        )
+        return self._call(LeaseGrant, "POST", "/leases", request)
 
     def heartbeat(self, lease_id: str, token: str) -> HeartbeatAck:
-        request = HeartbeatRequest(token=token)
-        return HeartbeatAck.from_dict(
-            self._json(
-                "POST", f"/leases/{lease_id}/heartbeat", request.to_dict()
-            )
+        return self._call(
+            HeartbeatAck, "POST", f"/leases/{lease_id}/heartbeat",
+            HeartbeatRequest(token=token),
         )
 
     def push_results(self, lease_id: str, push: ResultPush) -> ResultAck:
-        return ResultAck.from_dict(
-            self._json("POST", f"/leases/{lease_id}/results", push.to_dict())
+        return self._call(
+            ResultAck, "POST", f"/leases/{lease_id}/results", push
         )
 
     def release(
@@ -370,9 +363,8 @@ class ServeClient:
         re-queued immediately instead of waiting out the lease TTL.
         """
         request = LeaseRelease(token=token, spec_hashes=tuple(spec_hashes))
-        return ReleaseAck.from_dict(
-            self._json("POST", f"/leases/{lease_id}/release",
-                       request.to_dict())
+        return self._call(
+            ReleaseAck, "POST", f"/leases/{lease_id}/release", request
         )
 
     # -- event streaming -------------------------------------------------------
@@ -518,124 +510,3 @@ class ServeClient:
         else:
             results = self.wait(job_id)
         return summary_from_results(results)
-
-
-class AsyncServeClient:
-    """Asyncio client: one short-lived connection per request.
-
-    GETs retry transient transport resets (bounded), mirroring the
-    synchronous client; POSTs are never replayed.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8731,
-        tenant: str = "default",
-        transient_retries: int = 3,
-    ):
-        self.host = host
-        self.port = port
-        self.tenant = tenant
-        self.transient_retries = transient_retries
-
-    async def _request(
-        self, method: str, path: str, payload: Optional[dict] = None
-    ) -> tuple[int, dict]:
-        retries_left = self.transient_retries if method == "GET" else 0
-        backoff = Backoff(base_s=0.05, cap_s=2.0)
-        while True:
-            try:
-                return await self._request_once(method, path, payload)
-            except ServeConnectionError as exc:
-                if retries_left <= 0 or not isinstance(
-                    exc.__cause__, TRANSIENT_ERRORS
-                ):
-                    raise
-                retries_left -= 1
-                await asyncio.sleep(backoff.next_delay())
-
-    async def _request_once(
-        self, method: str, path: str, payload: Optional[dict] = None
-    ) -> tuple[int, dict]:
-        try:
-            reader, writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-        except (ConnectionError, OSError) as exc:
-            raise ServeConnectionError(
-                f"head {self.host}:{self.port} unreachable: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        try:
-            body = b""
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"X-Repro-Tenant: {self.tenant}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
-            ).encode("latin-1")
-            writer.write(head + body)
-            await writer.drain()
-
-            status_line = await reader.readline()
-            status = int(status_line.split()[1])
-            retry_after = None
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "retry-after":
-                    retry_after = value.strip()
-            raw = await reader.read()
-            parsed = json.loads(raw) if raw.strip() else {}
-            headers = (
-                {"Retry-After": retry_after} if retry_after is not None else {}
-            )
-            raise_for_status(status, headers, parsed)
-            return status, parsed
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def submit(self, specs: Sequence[SimSpec]) -> JobSnapshot:
-        request = SubmitRequest(specs=tuple(specs), tenant=self.tenant)
-        __, body = await self._request("POST", "/jobs", request.to_dict())
-        return JobSnapshot.from_dict(body)
-
-    async def job(self, job_id: str, detail: bool = False) -> JobSnapshot:
-        suffix = "" if detail else "?detail=0"
-        __, body = await self._request("GET", f"/jobs/{job_id}{suffix}")
-        return JobSnapshot.from_dict(body)
-
-    async def results(self, job_id: str) -> JobResults:
-        __, body = await self._request("GET", f"/jobs/{job_id}/results")
-        return JobResults.from_dict(body)
-
-    async def stats(self) -> dict:
-        __, body = await self._request("GET", "/stats")
-        return body
-
-    async def wait(
-        self, job_id: str, poll_s: float = 0.05, timeout_s: float = 600.0
-    ) -> JobSnapshot:
-        """Poll the job until done; returns the final (detail-free) snapshot."""
-        deadline = time.monotonic() + timeout_s
-        while True:
-            snapshot = await self.job(job_id, detail=False)
-            if snapshot.state == "done":
-                return snapshot
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {snapshot.state} "
-                    f"after {timeout_s:.0f}s"
-                )
-            await asyncio.sleep(poll_s)

@@ -13,28 +13,56 @@ headers up front and write lines until the job finishes.  One request
 per connection keeps the framing trivial and matches the clients' usage.
 
 **Versioned wire messages.** Every request/response body is a frozen
-dataclass carrying ``protocol_version`` (:data:`PROTOCOL_VERSION`):
-:class:`SubmitRequest`, :class:`JobSnapshot`, :class:`JobResults`,
-:class:`LeaseRequest`/:class:`LeaseGrant`, :class:`HeartbeatRequest`/
-:class:`HeartbeatAck`, :class:`ResultPush`/:class:`ResultAck`,
-:class:`LeaseRelease`/:class:`ReleaseAck`, and :class:`ErrorBody`.  ``from_dict`` on each of them calls
-:func:`check_version` first, so a head and a worker (or a client) built
-from different protocol revisions fail loudly with a structured
-``protocol_mismatch`` error instead of silently misreading fields.
-NDJSON *events* remain plain dicts — they are an append-only stream
-reached through a versioned snapshot, not a negotiated surface.
+dataclass — :class:`SubmitRequest`, :class:`JobSnapshot`,
+:class:`JobResults`, :class:`LeaseRequest`/:class:`LeaseGrant`,
+:class:`HeartbeatRequest`/:class:`HeartbeatAck`,
+:class:`ResultPush`/:class:`ResultAck`, :class:`LeaseRelease`/
+:class:`ReleaseAck`, :class:`ErrorBody` — and one codec,
+:func:`encode` / :func:`decode`, turns them into JSON objects and back.
+The codec reads each class's fields and type hints once and caches the
+plan.  Its rules:
+
+* field types: ``str``, ``int`` (a ``bool`` is rejected), ``float`` (an
+  ``int`` is accepted), ``bool``, ``dict``, ``Optional[T]``,
+  ``tuple[T, ...]`` (a JSON array), nested message dataclasses (a JSON
+  object), and :class:`SimSpec`/:class:`RunStats` through their own
+  ``to_dict``/``from_dict``;
+* a field without a default is required; unknown keys are ignored;
+* a field valued ``None`` is left out of the encoded body;
+* a field marked :data:`INLINE` shares its parent's object
+  (:class:`JobResults` carries its snapshot's fields at top level);
+* top-level bodies are stamped with ``protocol_version``, and
+  :func:`decode` checks it first, so peers built from different protocol
+  revisions fail loudly with :class:`VersionMismatchError` (a structured
+  ``protocol_mismatch`` 400) instead of silently misreading fields;
+* every other failure is a :class:`BodyError` naming the field path,
+  e.g. ``outcomes[0].error.kind: expected str`` — one structured
+  ``bad_request`` 400 for any malformed body;
+* rules the types cannot express (non-empty tokens, ``max_cells >= 1``,
+  exactly one of ``stats``/``error``) live in ``__post_init__``, so
+  they hold for objects built in process too.
+
+:class:`ErrorBody` is the one exception: it encodes under an ``"error"``
+key and is read back by its own lenient, version-free
+:meth:`ErrorBody.from_dict`, because a peer rejected for version skew
+must still be able to read the rejection.  NDJSON *events* remain plain
+dicts — they are an append-only stream reached through a versioned
+snapshot, not a negotiated surface.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import functools
+import types
+import typing
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 from urllib.parse import parse_qs, unquote
 
 from repro.core.system import RunStats
 from repro.experiments.spec import SimSpec
-
 #: Bump on any incompatible change to the message shapes below.  The
 #: server rejects mismatched submissions/leases with a structured 400,
 #: and workers refuse to start against a head of a different version.
@@ -179,6 +207,15 @@ class VersionMismatchError(ProtocolError):
         self.got = got
 
 
+class BodyError(ProtocolError):
+    """A body that does not fit its message: ``path: problem``."""
+
+    def __init__(self, path: str, problem: str):
+        super().__init__(400, f"{path}: {problem}" if path else problem)
+        self.path = path
+        self.problem = problem
+
+
 def check_version(data: Mapping) -> None:
     """Raise :class:`VersionMismatchError` unless ``data`` carries ours."""
     got = data.get("protocol_version") if isinstance(data, Mapping) else None
@@ -186,9 +223,156 @@ def check_version(data: Mapping) -> None:
         raise VersionMismatchError(got)
 
 
-def _versioned(payload: dict) -> dict:
-    payload["protocol_version"] = PROTOCOL_VERSION
-    return payload
+def _require(ok: bool, path: str, problem: str) -> None:
+    if not ok:
+        raise BodyError(path, problem)
+
+
+def _join(prefix: str, path: str) -> str:
+    if not prefix or not path:
+        return prefix or path
+    return prefix + path if path.startswith("[") else f"{prefix}.{path}"
+
+
+#: Field metadata: encode the nested message into its parent's object.
+INLINE = {"inline": True}
+
+
+class _Field(NamedTuple):
+    name: str
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any, str], Any]
+    required: bool
+    inline: bool
+
+
+def _typed(accepts: tuple, name: str) -> Callable[[Any, str], Any]:
+    """A decoder admitting ``accepts`` (``bool`` only where named)."""
+
+    def decode(value, path):
+        if isinstance(value, accepts) and (
+            bool in accepts or not isinstance(value, bool)
+        ):
+            return value
+        raise BodyError(path, f"expected {name}")
+
+    return decode
+
+
+def _identity(value):
+    return value
+
+
+_SCALARS = {
+    str: _typed((str,), "str"),
+    int: _typed((int,), "int"),
+    float: _typed((int, float), "float"),
+    bool: _typed((bool,), "bool"),
+    dict: _typed((dict,), "object"),
+}
+_expect_list = _typed((list,), "array")
+_expect_object = _SCALARS[dict]
+
+
+def _codec(hint) -> tuple[Callable, Callable]:
+    """``(encode, decode)`` for one field type hint."""
+    if hint in _SCALARS:
+        return _identity, _SCALARS[hint]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        enc, dec = _codec(inner)
+        return enc, (
+            lambda value, path: None if value is None else dec(value, path)
+        )
+    if origin is tuple:
+        enc, dec = _codec(args[0])
+        return (
+            lambda value: [enc(item) for item in value],
+            lambda value, path: tuple(
+                dec(item, f"{path}[{i}]")
+                for i, item in enumerate(_expect_list(value, path))
+            ),
+        )
+    if hint in (SimSpec, RunStats):
+
+        def dec(value, path):
+            data = _expect_object(value, path)
+            try:
+                return hint.from_dict(data)
+            except Exception as exc:  # from_dict's own failure modes
+                raise BodyError(
+                    path, f"invalid {hint.__name__}: {exc!r}"
+                ) from None
+
+        return hint.to_dict, dec
+    if dataclasses.is_dataclass(hint):
+        return _encode_fields, functools.partial(_decode_fields, hint)
+    raise TypeError(f"no wire codec for {hint!r}")
+
+
+@functools.cache
+def _plan(cls) -> tuple[_Field, ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        _Field(
+            spec.name,
+            *_codec(hints[spec.name]),
+            required=(
+                spec.default is dataclasses.MISSING
+                and spec.default_factory is dataclasses.MISSING
+            ),
+            inline=spec.metadata.get("inline", False),
+        )
+        for spec in dataclasses.fields(cls)
+    )
+
+
+def _encode_fields(msg) -> dict:
+    body: dict = {}
+    for fld in _plan(type(msg)):
+        value = getattr(msg, fld.name)
+        if value is None:
+            continue
+        if fld.inline:
+            body.update(fld.encode(value))
+        else:
+            body[fld.name] = fld.encode(value)
+    return body
+
+
+def _decode_fields(cls, data, path: str = ""):
+    _expect_object(data, path)
+    values = {}
+    for fld in _plan(cls):
+        if fld.inline:
+            values[fld.name] = fld.decode(data, path)
+        elif fld.name in data:
+            values[fld.name] = fld.decode(
+                data[fld.name], _join(path, fld.name)
+            )
+        elif fld.required:
+            raise BodyError(_join(path, fld.name), "missing")
+    try:
+        return cls(**values)
+    except BodyError as exc:  # a __post_init__ rule, relative to cls
+        raise BodyError(_join(path, exc.path), exc.problem) from None
+
+
+def encode(msg) -> dict:
+    """The JSON object for one message, stamped with ``protocol_version``."""
+    body = _encode_fields(msg)
+    if isinstance(msg, ErrorBody):
+        body = {"error": body}
+    body["protocol_version"] = PROTOCOL_VERSION
+    return body
+
+
+def decode(cls, data):
+    """Parse and validate one message body; raises :class:`ProtocolError`."""
+    _expect_object(data, "")
+    check_version(data)
+    return _decode_fields(cls, data)
 
 
 @dataclass(frozen=True)
@@ -210,30 +394,24 @@ class ErrorBody:
     expected_version: Optional[int] = None
     got_version: Optional[int] = None
 
-    _OPTIONAL = (
-        "retry_after_s", "pending", "limit",
-        "expected_version", "got_version",
-    )
-
-    def to_dict(self) -> dict:
-        error = {"kind": self.kind, "message": self.message}
-        for name in self._OPTIONAL:
-            value = getattr(self, name)
-            if value is not None:
-                error[name] = value
-        return _versioned({"error": error})
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "ErrorBody":
-        # Error bodies are deliberately parsed *without* a version check:
-        # a mismatch report must be readable by the very peer it rejects.
+        """Lenient, version-free parse: never raises.
+
+        A mismatch report must be readable by the very peer it rejects,
+        so this is the one body :func:`decode` does not handle.
+        """
         error = data.get("error", {}) if isinstance(data, Mapping) else {}
         if not isinstance(error, Mapping):
             error = {}
         return cls(
             kind=str(error.get("kind", "error")),
             message=str(error.get("message", data)),
-            **{name: error.get(name) for name in cls._OPTIONAL},
+            **{
+                fld.name: error.get(fld.name)
+                for fld in _plan(cls)
+                if not fld.required
+            },
         )
 
 
@@ -243,26 +421,6 @@ class SubmitRequest:
 
     specs: tuple[SimSpec, ...]
     tenant: Optional[str] = None  # None: fall back to header/default
-
-    def to_dict(self) -> dict:
-        payload = {"specs": [spec.to_dict() for spec in self.specs]}
-        if self.tenant is not None:
-            payload["tenant"] = self.tenant
-        return _versioned(payload)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SubmitRequest":
-        check_version(data)
-        raw_specs = data.get("specs")
-        if not isinstance(raw_specs, list):
-            raise TypeError("'specs' must be a list of spec objects")
-        tenant = data.get("tenant")
-        if tenant is not None and not isinstance(tenant, str):
-            raise TypeError("'tenant' must be a string")
-        return cls(
-            specs=tuple(SimSpec.from_dict(item) for item in raw_specs),
-            tenant=tenant,
-        )
 
 
 @dataclass(frozen=True)
@@ -285,59 +443,12 @@ class JobSnapshot:
     elapsed_s: float
     cells_detail: Optional[tuple[dict, ...]] = None
 
-    _COUNTS = (
-        "cells", "queued", "running", "done", "failed",
-        "cached", "deduped", "simulated",
-    )
-
     @classmethod
     def from_job(cls, job, detail: bool = False) -> "JobSnapshot":
         """Snapshot a live :class:`~repro.serve.scheduler.Job`."""
         data = job.snapshot(detail=detail)
-        detail_rows = data.get("cells_detail")
-        return cls(
-            job_id=data["job_id"],
-            tenant=data["tenant"],
-            state=data["state"],
-            failure_kinds=dict(data["failure_kinds"]),
-            created_at=data["created_at"],
-            elapsed_s=data["elapsed_s"],
-            cells_detail=(
-                tuple(detail_rows) if detail_rows is not None else None
-            ),
-            **{name: data[name] for name in cls._COUNTS},
-        )
-
-    def to_dict(self) -> dict:
-        payload = {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "state": self.state,
-            **{name: getattr(self, name) for name in self._COUNTS},
-            "failure_kinds": dict(self.failure_kinds),
-            "created_at": self.created_at,
-            "elapsed_s": self.elapsed_s,
-        }
-        if self.cells_detail is not None:
-            payload["cells_detail"] = list(self.cells_detail)
-        return _versioned(payload)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "JobSnapshot":
-        check_version(data)
-        detail_rows = data.get("cells_detail")
-        return cls(
-            job_id=data["job_id"],
-            tenant=data["tenant"],
-            state=data["state"],
-            failure_kinds=dict(data.get("failure_kinds", {})),
-            created_at=data.get("created_at", 0.0),
-            elapsed_s=data.get("elapsed_s", 0.0),
-            cells_detail=(
-                tuple(detail_rows) if detail_rows is not None else None
-            ),
-            **{name: data[name] for name in cls._COUNTS},
-        )
+        rows = data.pop("cells_detail", None)
+        return cls(**data, cells_detail=None if rows is None else tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -347,27 +458,8 @@ class CellResultWire:
     index: int
     spec: SimSpec
     spec_hash: str
-    origin: Optional[str]
     stats: RunStats
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "spec": self.spec.to_dict(),
-            "spec_hash": self.spec_hash,
-            "origin": self.origin,
-            "stats": self.stats.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CellResultWire":
-        return cls(
-            index=data.get("index", 0),
-            spec=SimSpec.from_dict(data["spec"]),
-            spec_hash=data["spec_hash"],
-            origin=data.get("origin"),
-            stats=RunStats.from_dict(data["stats"]),
-        )
+    origin: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -379,63 +471,39 @@ class CellFailureWire:
     spec_hash: str
     error: dict  # {"kind", "message", "attempts"} — PR-5 failure kinds
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "spec": self.spec.to_dict(),
-            "spec_hash": self.spec_hash,
-            "error": dict(self.error),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CellFailureWire":
-        return cls(
-            index=data.get("index", 0),
-            spec=SimSpec.from_dict(data["spec"]),
-            spec_hash=data["spec_hash"],
-            error=dict(data.get("error", {})),
-        )
-
 
 @dataclass(frozen=True)
 class JobResults:
     """``GET /jobs/<id>/results`` body: snapshot + stats + failures."""
 
-    snapshot: JobSnapshot
+    snapshot: JobSnapshot = field(metadata=INLINE)
     results: tuple[CellResultWire, ...]
     failures: tuple[CellFailureWire, ...]
 
     @classmethod
     def from_job(cls, job) -> "JobResults":
-        data = job.results_dict()
+        results = []
+        failures = []
+        for cell in job.cells:
+            if cell.state == "done" and cell.stats is not None:
+                results.append(CellResultWire(
+                    index=cell.index,
+                    spec=cell.spec,
+                    spec_hash=cell.spec_hash,
+                    stats=cell.stats,
+                    origin=cell.origin,
+                ))
+            elif cell.state == "failed":
+                failures.append(CellFailureWire(
+                    index=cell.index,
+                    spec=cell.spec,
+                    spec_hash=cell.spec_hash,
+                    error=dict(cell.error or {}),
+                ))
         return cls(
-            snapshot=JobSnapshot.from_job(job, detail=False),
-            results=tuple(
-                CellResultWire.from_dict(item) for item in data["results"]
-            ),
-            failures=tuple(
-                CellFailureWire.from_dict(item) for item in data["failures"]
-            ),
-        )
-
-    def to_dict(self) -> dict:
-        payload = self.snapshot.to_dict()
-        payload["results"] = [item.to_dict() for item in self.results]
-        payload["failures"] = [item.to_dict() for item in self.failures]
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "JobResults":
-        return cls(
-            snapshot=JobSnapshot.from_dict(data),
-            results=tuple(
-                CellResultWire.from_dict(item)
-                for item in data.get("results", ())
-            ),
-            failures=tuple(
-                CellFailureWire.from_dict(item)
-                for item in data.get("failures", ())
-            ),
+            snapshot=JobSnapshot.from_job(job),
+            results=tuple(results),
+            failures=tuple(failures),
         )
 
 
@@ -446,22 +514,9 @@ class LeaseRequest:
     worker_id: str
     max_cells: int = 4
 
-    def to_dict(self) -> dict:
-        return _versioned({
-            "worker_id": self.worker_id,
-            "max_cells": self.max_cells,
-        })
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LeaseRequest":
-        check_version(data)
-        worker_id = data.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            raise TypeError("'worker_id' must be a non-empty string")
-        max_cells = data.get("max_cells", 4)
-        if not isinstance(max_cells, int) or max_cells < 1:
-            raise TypeError("'max_cells' must be a positive integer")
-        return cls(worker_id=worker_id, max_cells=max_cells)
+    def __post_init__(self):
+        _require(self.worker_id != "", "worker_id", "must be non-empty")
+        _require(self.max_cells >= 1, "max_cells", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -472,23 +527,6 @@ class LeaseCell:
     spec_hash: str
     tenant: str
     attempt: int  # 1-based count of workers this cell has been leased to
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "spec_hash": self.spec_hash,
-            "tenant": self.tenant,
-            "attempt": self.attempt,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LeaseCell":
-        return cls(
-            spec=SimSpec.from_dict(data["spec"]),
-            spec_hash=data["spec_hash"],
-            tenant=data.get("tenant", "default"),
-            attempt=data.get("attempt", 1),
-        )
 
 
 @dataclass(frozen=True)
@@ -509,28 +547,6 @@ class LeaseGrant:
     def is_empty(self) -> bool:
         return not self.cells
 
-    def to_dict(self) -> dict:
-        return _versioned({
-            "lease_id": self.lease_id,
-            "token": self.token,
-            "ttl_s": self.ttl_s,
-            "cells": [cell.to_dict() for cell in self.cells],
-            "retry_after_s": self.retry_after_s,
-        })
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LeaseGrant":
-        check_version(data)
-        return cls(
-            lease_id=data.get("lease_id", ""),
-            token=data.get("token", ""),
-            ttl_s=data.get("ttl_s", 0.0),
-            cells=tuple(
-                LeaseCell.from_dict(item) for item in data.get("cells", ())
-            ),
-            retry_after_s=data.get("retry_after_s", 0.0),
-        )
-
 
 @dataclass(frozen=True)
 class HeartbeatRequest:
@@ -538,16 +554,8 @@ class HeartbeatRequest:
 
     token: str
 
-    def to_dict(self) -> dict:
-        return _versioned({"token": self.token})
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "HeartbeatRequest":
-        check_version(data)
-        token = data.get("token")
-        if not isinstance(token, str) or not token:
-            raise TypeError("'token' must be a non-empty string")
-        return cls(token=token)
+    def __post_init__(self):
+        _require(self.token != "", "token", "must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -559,24 +567,6 @@ class HeartbeatAck:
     expires_in_s: float
     cells_outstanding: int
 
-    def to_dict(self) -> dict:
-        return _versioned({
-            "lease_id": self.lease_id,
-            "ttl_s": self.ttl_s,
-            "expires_in_s": self.expires_in_s,
-            "cells_outstanding": self.cells_outstanding,
-        })
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "HeartbeatAck":
-        check_version(data)
-        return cls(
-            lease_id=data["lease_id"],
-            ttl_s=data.get("ttl_s", 0.0),
-            expires_in_s=data.get("expires_in_s", 0.0),
-            cells_outstanding=data.get("cells_outstanding", 0),
-        )
-
 
 @dataclass(frozen=True)
 class CellOutcome:
@@ -587,31 +577,17 @@ class CellOutcome:
     error: Optional[dict] = None  # {"kind", "message", "attempts"}
     simulated: bool = True  # False: served from a worker-side cache
 
-    def to_dict(self) -> dict:
-        payload: dict = {
-            "spec_hash": self.spec_hash,
-            "simulated": self.simulated,
-        }
-        if self.stats is not None:
-            payload["stats"] = self.stats.to_dict()
-        if self.error is not None:
-            payload["error"] = dict(self.error)
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CellOutcome":
-        stats = data.get("stats")
-        error = data.get("error")
-        if (stats is None) == (error is None):
-            raise TypeError(
-                "a cell outcome carries exactly one of 'stats' or 'error'"
-            )
-        return cls(
-            spec_hash=data["spec_hash"],
-            stats=RunStats.from_dict(stats) if stats is not None else None,
-            error=dict(error) if error is not None else None,
-            simulated=bool(data.get("simulated", True)),
+    def __post_init__(self):
+        _require(
+            (self.stats is None) != (self.error is None),
+            "", "carries exactly one of 'stats' or 'error'",
         )
+        if self.error is not None:
+            for key in ("kind", "message"):
+                _require(
+                    isinstance(self.error.get(key), str),
+                    f"error.{key}", "expected str",
+                )
 
 
 @dataclass(frozen=True)
@@ -621,25 +597,6 @@ class ResultPush:
     token: str
     outcomes: tuple[CellOutcome, ...]
     worker_id: str = ""
-
-    def to_dict(self) -> dict:
-        return _versioned({
-            "token": self.token,
-            "worker_id": self.worker_id,
-            "outcomes": [outcome.to_dict() for outcome in self.outcomes],
-        })
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ResultPush":
-        check_version(data)
-        outcomes = data.get("outcomes")
-        if not isinstance(outcomes, list):
-            raise TypeError("'outcomes' must be a list")
-        return cls(
-            token=data.get("token", ""),
-            outcomes=tuple(CellOutcome.from_dict(item) for item in outcomes),
-            worker_id=data.get("worker_id", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -655,24 +612,8 @@ class LeaseRelease:
     token: str
     spec_hashes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return _versioned({
-            "token": self.token,
-            "spec_hashes": list(self.spec_hashes),
-        })
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LeaseRelease":
-        check_version(data)
-        token = data.get("token")
-        if not isinstance(token, str) or not token:
-            raise TypeError("'token' must be a non-empty string")
-        hashes = data.get("spec_hashes", [])
-        if not isinstance(hashes, list) or not all(
-            isinstance(item, str) for item in hashes
-        ):
-            raise TypeError("'spec_hashes' must be a list of strings")
-        return cls(token=token, spec_hashes=tuple(hashes))
+    def __post_init__(self):
+        _require(self.token != "", "token", "must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -681,20 +622,6 @@ class ReleaseAck:
 
     released: int
     lease_open: bool
-
-    def to_dict(self) -> dict:
-        return _versioned({
-            "released": self.released,
-            "lease_open": self.lease_open,
-        })
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ReleaseAck":
-        check_version(data)
-        return cls(
-            released=data.get("released", 0),
-            lease_open=bool(data.get("lease_open", False)),
-        )
 
 
 @dataclass(frozen=True)
@@ -711,19 +638,3 @@ class ResultAck:
     accepted: int
     stale: int
     lease_open: bool
-
-    def to_dict(self) -> dict:
-        return _versioned({
-            "accepted": self.accepted,
-            "stale": self.stale,
-            "lease_open": self.lease_open,
-        })
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ResultAck":
-        check_version(data)
-        return cls(
-            accepted=data.get("accepted", 0),
-            stale=data.get("stale", 0),
-            lease_open=bool(data.get("lease_open", False)),
-        )

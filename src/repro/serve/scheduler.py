@@ -70,6 +70,7 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.spec import SimSpec, run_spec
 from repro.serve.journal import JOURNAL_NAME, Journal
+from repro.serve.protocol import CellOutcome
 
 #: Cell origins: how a delivered result was produced.
 ORIGIN_CACHED = "cached"        # satisfied from the on-disk cache at submit
@@ -185,31 +186,6 @@ class Job:
         }
         if detail:
             data["cells_detail"] = [cell.status_dict() for cell in self.cells]
-        return data
-
-    def results_dict(self) -> dict:
-        """Full results body: delivered stats plus structured failures."""
-        results = []
-        failures = []
-        for cell in self.cells:
-            if cell.state == "done" and cell.stats is not None:
-                results.append({
-                    "index": cell.index,
-                    "spec": cell.spec.to_dict(),
-                    "spec_hash": cell.spec_hash,
-                    "origin": cell.origin,
-                    "stats": cell.stats.to_dict(),
-                })
-            elif cell.state == "failed":
-                failures.append({
-                    "index": cell.index,
-                    "spec": cell.spec.to_dict(),
-                    "spec_hash": cell.spec_hash,
-                    "error": dict(cell.error or {}),
-                })
-        data = self.snapshot(detail=False)
-        data["results"] = results
-        data["failures"] = failures
         return data
 
     # -- events ----------------------------------------------------------------
@@ -1031,7 +1007,7 @@ class JobStore:
         self,
         lease_id: str,
         token: str,
-        outcomes: Sequence[dict],
+        outcomes: Sequence[CellOutcome],
         worker_id: str = "",
     ) -> dict:
         """Accept per-cell outcomes from a remote worker.
@@ -1066,32 +1042,23 @@ class JobStore:
             "lease_open": lease is not None,
         }
 
-    def _accept_outcome(self, outcome: dict, worker_id: str) -> bool:
+    def _accept_outcome(self, outcome: CellOutcome, worker_id: str) -> bool:
         """Resolve one remotely executed cell; False if it went stale."""
-        spec_hash = outcome["spec_hash"]
-        entry = self._inflight.pop(spec_hash, None)
+        entry = self._inflight.pop(outcome.spec_hash, None)
         if entry is None:
             return False
         self._remove_queued(entry)
         for lease in self._leases.values():
-            lease.entries.pop(spec_hash, None)
-        stats: Optional[RunStats] = None
-        error: Optional[dict] = None
-        if outcome.get("error") is not None:
-            error = dict(outcome["error"])
-        else:
-            stats = outcome["stats"]
-            if not isinstance(stats, RunStats):
-                stats = RunStats.from_dict(stats)
-            if self.cache is not None:
-                # Artifact replication: the head's cache now serves this
-                # cell to every future submission and cache-warming worker.
-                self.cache.put(entry.spec, stats)
+            lease.entries.pop(outcome.spec_hash, None)
+        if outcome.stats is not None and self.cache is not None:
+            # Artifact replication: the head's cache now serves this
+            # cell to every future submission and cache-warming worker.
+            self.cache.put(entry.spec, outcome.stats)
         self.totals["cells_remote"] += 1
-        if outcome.get("simulated", True) and error is None:
+        if outcome.simulated and outcome.error is None:
             for job, index in entry.subscribers:
                 job.cells[index].worker = worker_id or None
-        self._resolve(entry, stats, error, remote=True)
+        self._resolve(entry, outcome.stats, outcome.error, remote=True)
         return True
 
     def _remove_queued(self, entry: _InFlight) -> None:

@@ -26,11 +26,12 @@ Request/response bodies are the frozen dataclasses of
 :mod:`repro.serve.protocol`, each stamped with ``protocol_version``; a
 submission or lease call from a different protocol revision is rejected
 with a structured 400 ``protocol_mismatch`` error so head/worker skew
-fails loudly.  Submissions go through the :func:`repro.api.submit`
-facade — the server is just HTTP framing around it.  Tenants identify
-themselves via the ``"tenant"`` body field or the ``X-Repro-Tenant``
-header; there is no authentication (the service is a lab-cluster tool,
-bind it accordingly).
+fails loudly, and any other malformed body with a 400 ``bad_request``
+naming the offending field.  Submissions go through the
+:func:`repro.api.submit` facade — the server is just HTTP framing
+around it.  Tenants identify themselves via the ``"tenant"`` body field
+or the ``X-Repro-Tenant`` header; there is no authentication (the
+service is a lab-cluster tool, bind it accordingly).
 
 Error responses are :class:`~repro.serve.protocol.ErrorBody` JSON::
 
@@ -69,6 +70,8 @@ from repro.serve.protocol import (
     ResultPush,
     SubmitRequest,
     VersionMismatchError,
+    decode,
+    encode,
     read_request,
     render_response,
     render_stream_head,
@@ -90,7 +93,7 @@ def _json_body(obj: dict) -> bytes:
 
 
 def _error_body(kind: str, message: str, **extra) -> bytes:
-    return _json_body(ErrorBody(kind=kind, message=message, **extra).to_dict())
+    return _json_body(encode(ErrorBody(kind=kind, message=message, **extra)))
 
 
 class SweepServer:
@@ -186,12 +189,13 @@ class SweepServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        obj: dict,
+        obj,
         extra_headers: tuple[tuple[str, str], ...] = (),
     ) -> None:
+        """Send ``obj``: a plain dict as is, a wire message encoded."""
         writer.write(render_response(
             status,
-            _json_body(obj),
+            _json_body(obj if isinstance(obj, dict) else encode(obj)),
             extra_headers=(("Server", SERVER_NAME),) + extra_headers,
         ))
 
@@ -207,13 +211,12 @@ class SweepServer:
     def _parse_body(self, request: Request, message_cls):
         """Parse + validate a typed request body.
 
-        Returns the parsed message, or ``None`` after writing the
-        structured 400 (``protocol_mismatch`` for version skew,
-        ``bad_request`` for anything else malformed).
+        Returns ``(message, None)``, or ``(None, error)`` with the
+        structured 400 body: ``protocol_mismatch`` for version skew,
+        ``bad_request`` for anything else malformed.
         """
         try:
-            data = json.loads(request.body or b"{}")
-            return message_cls.from_dict(data), None
+            return decode(message_cls, json.loads(request.body or b"{}")), None
         except VersionMismatchError as exc:
             return None, ErrorBody(
                 kind="protocol_mismatch",
@@ -221,7 +224,7 @@ class SweepServer:
                 expected_version=exc.expected,
                 got_version=exc.got if isinstance(exc.got, int) else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:  # a BodyError, or JSON that won't parse
             return None, ErrorBody(
                 kind="bad_request",
                 message=f"invalid {message_cls.__name__} body: {exc}",
@@ -247,7 +250,7 @@ class SweepServer:
     ) -> None:
         submit, error = self._parse_body(request, SubmitRequest)
         if submit is None:
-            return self._reply(writer, 400, error.to_dict())
+            return self._reply(writer, 400, error)
         tenant = (
             submit.tenant
             or request.headers.get("x-repro-tenant")
@@ -268,12 +271,12 @@ class SweepServer:
             return self._reply(
                 writer,
                 429,
-                busy.to_dict(),
+                busy,
                 extra_headers=(
                     ("Retry-After", f"{max(1, round(exc.retry_after_s))}"),
                 ),
             )
-        self._reply(writer, 202, JobSnapshot.from_job(job).to_dict())
+        self._reply(writer, 202, JobSnapshot.from_job(job))
 
     async def _job_route(
         self,
@@ -285,16 +288,14 @@ class SweepServer:
         if job is None:
             return self._reply(writer, 404, ErrorBody(
                 kind="unknown_job", message=f"no job {segments[1]!r}"
-            ).to_dict())
+            ))
         tail = segments[2:]
         if tail == []:
             detail = request.query.get("detail", ["1"])[0] != "0"
             snapshot = JobSnapshot.from_job(job, detail=detail)
-            return self._reply(writer, 200, snapshot.to_dict())
+            return self._reply(writer, 200, snapshot)
         if tail == ["results"]:
-            return self._reply(
-                writer, 200, JobResults.from_job(job).to_dict()
-            )
+            return self._reply(writer, 200, JobResults.from_job(job))
         if tail == ["events"]:
             writer.write(render_stream_head(
                 extra_headers=(("Server", SERVER_NAME),)
@@ -306,7 +307,7 @@ class SweepServer:
             return
         self._reply(writer, 404, ErrorBody(
             kind="not_found", message=f"no job route {'/'.join(tail)!r}"
-        ).to_dict())
+        ))
 
     def _artifact(self, writer: asyncio.StreamWriter, spec_hash: str) -> None:
         cache = self.store.cache
@@ -320,7 +321,7 @@ class SweepServer:
                     "result cache disabled" if cache is None
                     else f"no artifact for {spec_hash!r}"
                 ),
-            ).to_dict())
+            ))
         self._reply(writer, 200, artifact)
 
     # -- lease endpoints -------------------------------------------------------
@@ -341,19 +342,19 @@ class SweepServer:
             return self._release(request, writer, segments[1])
         self._reply(writer, 404, ErrorBody(
             kind="not_found", message=f"no lease route {request.path!r}"
-        ).to_dict())
+        ))
 
     def _grant(self, request: Request, writer: asyncio.StreamWriter) -> None:
         ask, error = self._parse_body(request, LeaseRequest)
         if ask is None:
-            return self._reply(writer, 400, error.to_dict())
+            return self._reply(writer, 400, error)
         lease = self.store.grant_lease(ask.worker_id, ask.max_cells)
         if lease is None:
             empty = LeaseGrant(
                 lease_id="", token="", ttl_s=self.store.lease_ttl_s,
                 cells=(), retry_after_s=IDLE_RETRY_S,
             )
-            return self._reply(writer, 200, empty.to_dict())
+            return self._reply(writer, 200, empty)
         grant = LeaseGrant(
             lease_id=lease.lease_id,
             token=lease.token,
@@ -368,61 +369,50 @@ class SweepServer:
                 for entry in lease.entries.values()
             ),
         )
-        self._reply(writer, 201, grant.to_dict())
+        self._reply(writer, 201, grant)
 
     def _heartbeat(
         self, request: Request, writer: asyncio.StreamWriter, lease_id: str
     ) -> None:
         beat, error = self._parse_body(request, HeartbeatRequest)
         if beat is None:
-            return self._reply(writer, 400, error.to_dict())
+            return self._reply(writer, 400, error)
         try:
             lease = self.store.heartbeat(lease_id, beat.token)
         except UnknownLeaseError as exc:
             return self._reply(writer, 404, ErrorBody(
                 kind="unknown_lease", message=str(exc)
-            ).to_dict())
+            ))
         ack = HeartbeatAck(
             lease_id=lease.lease_id,
             ttl_s=lease.ttl_s,
             expires_in_s=max(0.0, lease.deadline - time.monotonic()),
             cells_outstanding=len(lease.entries),
         )
-        self._reply(writer, 200, ack.to_dict())
+        self._reply(writer, 200, ack)
 
     def _push_results(
         self, request: Request, writer: asyncio.StreamWriter, lease_id: str
     ) -> None:
         push, error = self._parse_body(request, ResultPush)
         if push is None:
-            return self._reply(writer, 400, error.to_dict())
+            return self._reply(writer, 400, error)
         try:
             outcome = self.store.push_results(
-                lease_id,
-                push.token,
-                [
-                    {
-                        "spec_hash": item.spec_hash,
-                        "stats": item.stats,
-                        "error": item.error,
-                        "simulated": item.simulated,
-                    }
-                    for item in push.outcomes
-                ],
-                worker_id=push.worker_id,
+                lease_id, push.token, push.outcomes, worker_id=push.worker_id
             )
         except UnknownLeaseError as exc:
             return self._reply(writer, 404, ErrorBody(
                 kind="unknown_lease", message=str(exc)
-            ).to_dict())
-        self._reply(writer, 200, ResultAck(**outcome).to_dict())
+            ))
+        self._reply(writer, 200, ResultAck(**outcome))
 
     def _release(
         self, request: Request, writer: asyncio.StreamWriter, lease_id: str
     ) -> None:
         release, error = self._parse_body(request, LeaseRelease)
         if release is None:
-            return self._reply(writer, 400, error.to_dict())
+            return self._reply(writer, 400, error)
         try:
             outcome = self.store.release_cells(
                 lease_id,
@@ -432,8 +422,8 @@ class SweepServer:
         except UnknownLeaseError as exc:
             return self._reply(writer, 404, ErrorBody(
                 kind="unknown_lease", message=str(exc)
-            ).to_dict())
-        self._reply(writer, 200, ReleaseAck(**outcome).to_dict())
+            ))
+        self._reply(writer, 200, ReleaseAck(**outcome))
 
 
 async def serve_forever(

@@ -171,6 +171,31 @@ class TestSurface:
         })
         assert status == 400
 
+    def test_wrong_json_types_are_400_not_500(self, live_server):
+        """Any mistyped body is one structured 400, never an internal 500."""
+        client = live_server.client()
+        version = {"protocol_version": PROTOCOL_VERSION}
+        cases = [
+            ("/jobs", {**version, "specs": ["x"]}, "specs[0]"),
+            ("/leases/l-any/results",
+             {**version, "token": "t", "outcomes": ["x"]}, "outcomes[0]"),
+            ("/leases", {**version, "worker_id": "w", "max_cells": "2"},
+             "max_cells"),
+            ("/leases", {**version, "worker_id": "w", "max_cells": True},
+             "max_cells"),
+            ("/leases/l-any/heartbeat", {**version, "token": 7}, "token"),
+            ("/leases/l-any/results",
+             {**version, "token": "t",
+              "outcomes": [{"spec_hash": "aa", "error": {}}]},
+             "outcomes[0].error.kind"),
+        ]
+        for path, payload, field in cases:
+            status, _, body = client._request("POST", path, payload)
+            assert status == 400, (path, payload, body)
+            assert body["error"]["kind"] == "bad_request"
+            assert field in body["error"]["message"]
+        assert client.health()["status"] == "ok"
+
     def test_protocol_skew_is_structured_400(self, live_server):
         """A peer from another protocol revision fails loudly, not quietly."""
         client = live_server.client()

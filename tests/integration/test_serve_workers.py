@@ -403,6 +403,7 @@ class TestGracefulDrain:
         ).start()
         try:
             gate = threading.Event()
+            runner = RecordingRunner(gate=gate)
             node = WorkerNode(
                 f"http://127.0.0.1:{server.port}",
                 worker_id="draining",
@@ -410,17 +411,21 @@ class TestGracefulDrain:
                 lease_cells=4,
                 poll_s=0.05,
                 use_cache=False,
-                runner=RecordingRunner(gate=gate),
+                runner=runner,
             )
             thread = threading.Thread(target=node.run, daemon=True)
             client = server.client()
             snapshot = client.submit(make_grid())
             thread.start()
             try:
+                # Drain only once a cell is in flight: the head counts
+                # the grant before the worker has read it, and a drain
+                # in that window rightly releases every cell.
                 wait_for(
-                    lambda: client.stats()["leases_granted"] >= 1,
-                    what="the worker to lease the grid",
+                    lambda: len(runner.specs) >= 1,
+                    what="the worker to start a leased cell",
                 )
+                assert client.stats()["leases_granted"] == 1
                 node.drain()
                 gate.set()
                 thread.join(timeout=10.0)
@@ -489,11 +494,14 @@ class TestGracefulDrain:
         assert node.counters["cells_done"] == 4
 
 
-def _sigterm_worker_main(port: int) -> None:
-    """Subprocess body: slow cells, default SIGTERM handler = drain."""
+def _sigterm_worker_main(port: int, started) -> None:
+    """Subprocess body: slow cells, default SIGTERM handler = drain.
+
+    ``started`` is set once a cell is executing."""
     from repro.serve.worker import run_worker
 
     def slow(spec):
+        started.set()
         time.sleep(0.6)
         return fake_stats(spec)
 
@@ -521,15 +529,20 @@ class TestSigtermDrain:
             snapshot = client.submit(make_grid())
 
             ctx = multiprocessing.get_context("fork")
+            started = ctx.Event()
             proc = ctx.Process(
-                target=_sigterm_worker_main, args=(server.port,), daemon=True
+                target=_sigterm_worker_main,
+                args=(server.port, started),
+                daemon=True,
             )
             proc.start()
             try:
-                wait_for(
-                    lambda: client.stats()["leases_granted"] >= 1,
-                    what="the doomed worker to lease the grid",
+                # Terminate only once a cell is in flight; a SIGTERM
+                # between grant and first cell rightly releases them all.
+                assert started.wait(timeout=30.0), (
+                    "the doomed worker never started a leased cell"
                 )
+                assert client.stats()["leases_granted"] == 1
                 os.kill(proc.pid, signal.SIGTERM)
                 proc.join(timeout=15.0)
                 assert proc.exitcode == 0  # graceful drain, not a crash

@@ -19,6 +19,7 @@ from tests.unit.test_serve_scheduler import (
     fake_stats,
     make_spec,
     outcome_for,
+    results_body,
     run,
 )
 
@@ -117,7 +118,7 @@ class TestRecovery:
             try:
                 job = store._jobs[job_id]
                 snapshot = job.snapshot()
-                return snapshot, dict(store.totals), job.results_dict()
+                return snapshot, dict(store.totals), results_body(job)
             finally:
                 await store.close()
 

@@ -1,11 +1,14 @@
 """Unit tests for the versioned wire messages of the sweep service.
 
-Every message round-trips through ``to_dict``/``from_dict``; every
-request parser rejects a payload from a different protocol revision
-with :class:`~repro.serve.protocol.VersionMismatchError`.  Error bodies
-are the deliberate exception — a mismatch report must be parseable by
-the very peer it rejects.
+Hand-picked cases of the codec (:func:`~repro.serve.protocol.encode` /
+:func:`~repro.serve.protocol.decode`): version stamping and skew
+rejection, the ``__post_init__`` rules, and error bodies — the
+deliberate exception, parseable by the very peer they reject.  The
+generic round-trip, missing-field and wrong-type properties over every
+message class live in ``tests/property/test_property_protocol.py``.
 """
+
+import re
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.experiments.config import ExperimentScale
 from repro.experiments.spec import SimSpec
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
+    BodyError,
     CellOutcome,
     ErrorBody,
     HeartbeatAck,
@@ -22,11 +26,14 @@ from repro.serve.protocol import (
     LeaseCell,
     LeaseGrant,
     LeaseRequest,
+    ProtocolError,
     ResultAck,
     ResultPush,
     SubmitRequest,
     VersionMismatchError,
     check_version,
+    decode,
+    encode,
 )
 
 TINY = ExperimentScale(name="tiny", refs_per_cpu=50)
@@ -72,7 +79,7 @@ class TestVersioning:
             LeaseGrant(lease_id="l1", token="tok", ttl_s=15.0, cells=()),
         ]
         for message in messages:
-            assert message.to_dict()["protocol_version"] == PROTOCOL_VERSION
+            assert encode(message)["protocol_version"] == PROTOCOL_VERSION
 
     def test_check_version_rejects_missing_and_wrong(self):
         check_version({"protocol_version": PROTOCOL_VERSION})
@@ -85,17 +92,19 @@ class TestVersioning:
 
     def test_requests_reject_version_skew(self):
         spec = make_spec()
-        payloads = [
-            (SubmitRequest, SubmitRequest(specs=(spec,)).to_dict()),
-            (LeaseRequest, LeaseRequest(worker_id="w").to_dict()),
-            (HeartbeatRequest, HeartbeatRequest(token="t").to_dict()),
-            (ResultPush, ResultPush(token="t", outcomes=()).to_dict()),
+        messages = [
+            SubmitRequest(specs=(spec,)),
+            LeaseRequest(worker_id="w"),
+            HeartbeatRequest(token="t"),
+            ResultPush(token="t", outcomes=()),
         ]
-        for cls, payload in payloads:
-            cls.from_dict(payload)  # sanity: current version parses
+        for message in messages:
+            payload = encode(message)
+            cls = type(message)
+            assert decode(cls, payload) == message  # current version parses
             payload["protocol_version"] = PROTOCOL_VERSION + 1
             with pytest.raises(VersionMismatchError):
-                cls.from_dict(payload)
+                decode(cls, payload)
 
     def test_error_body_parses_without_version(self):
         # The one deliberate exception: a peer rejected for version skew
@@ -114,19 +123,21 @@ class TestRoundTrips:
         request = SubmitRequest(
             specs=(make_spec(), make_spec("swim")), tenant="lab",
         )
-        parsed = SubmitRequest.from_dict(request.to_dict())
+        parsed = decode(SubmitRequest, encode(request))
         assert parsed == request
 
     def test_submit_request_validates_specs(self):
-        with pytest.raises(TypeError, match="list"):
-            SubmitRequest.from_dict({
-                "protocol_version": PROTOCOL_VERSION, "specs": "nope",
-            })
-        with pytest.raises(TypeError, match="tenant"):
-            SubmitRequest.from_dict({
-                "protocol_version": PROTOCOL_VERSION,
-                "specs": [], "tenant": 7,
-            })
+        cases = [
+            ({"specs": "nope"}, "specs: expected array"),
+            ({"specs": ["x"]}, "specs[0]: expected object"),
+            ({"specs": [{"benchmark": "art"}]}, "specs[0]: invalid SimSpec"),
+            ({"specs": [], "tenant": 7}, "tenant: expected str"),
+        ]
+        for body, message in cases:
+            with pytest.raises(BodyError, match=re.escape(message)):
+                decode(SubmitRequest, {
+                    "protocol_version": PROTOCOL_VERSION, **body,
+                })
 
     def test_lease_grant_with_cells(self):
         spec = make_spec()
@@ -137,7 +148,7 @@ class TestRoundTrips:
                 tenant="lab", attempt=2,
             ),),
         )
-        parsed = LeaseGrant.from_dict(grant.to_dict())
+        parsed = decode(LeaseGrant, encode(grant))
         assert parsed == grant
         assert not parsed.is_empty
         assert parsed.cells[0].attempt == 2
@@ -146,17 +157,25 @@ class TestRoundTrips:
         grant = LeaseGrant(
             lease_id="", token="", ttl_s=15.0, cells=(), retry_after_s=0.5,
         )
-        parsed = LeaseGrant.from_dict(grant.to_dict())
+        parsed = decode(LeaseGrant, encode(grant))
         assert parsed.is_empty
         assert parsed.retry_after_s == 0.5
 
     def test_lease_request_validation(self):
-        for bad in ({"worker_id": ""}, {"worker_id": 3},
-                    {"worker_id": "w", "max_cells": 0}):
-            with pytest.raises(TypeError):
-                LeaseRequest.from_dict({
-                    "protocol_version": PROTOCOL_VERSION, **bad,
+        cases = [
+            ({"worker_id": ""}, "worker_id: must be non-empty"),
+            ({"worker_id": 3}, "worker_id: expected str"),
+            ({"worker_id": "w", "max_cells": 0}, "max_cells: must be >= 1"),
+            ({"worker_id": "w", "max_cells": True}, "max_cells: expected int"),
+            ({}, "worker_id: missing"),
+        ]
+        for body, message in cases:
+            with pytest.raises(BodyError, match=message):
+                decode(LeaseRequest, {
+                    "protocol_version": PROTOCOL_VERSION, **body,
                 })
+        with pytest.raises(ProtocolError):  # built in process, too
+            LeaseRequest(worker_id="w", max_cells=0)
 
     def test_result_push_with_outcomes(self):
         spec = make_spec()
@@ -174,25 +193,44 @@ class TestRoundTrips:
                 ),
             ),
         )
-        parsed = ResultPush.from_dict(push.to_dict())
+        parsed = decode(ResultPush, encode(push))
         assert parsed == push
         assert parsed.outcomes[0].stats.ipc == 0.5
         assert parsed.outcomes[1].error["kind"] == "crash"
 
     def test_cell_outcome_requires_exactly_one_of_stats_error(self):
-        with pytest.raises(TypeError, match="exactly one"):
-            CellOutcome.from_dict({"spec_hash": "aa"})
-        with pytest.raises(TypeError, match="exactly one"):
-            CellOutcome.from_dict({
-                "spec_hash": "aa",
-                "stats": make_stats(make_spec()).to_dict(),
-                "error": {"kind": "error", "message": "x"},
-            })
+        stats = make_stats(make_spec())
+        with pytest.raises(BodyError, match="exactly one"):
+            CellOutcome(spec_hash="aa")
+        with pytest.raises(BodyError, match="exactly one"):
+            CellOutcome(
+                spec_hash="aa", stats=stats,
+                error={"kind": "error", "message": "x"},
+            )
+        push = encode(ResultPush(
+            token="t", outcomes=(CellOutcome(spec_hash="aa", stats=stats),),
+        ))
+        push["outcomes"][0]["error"] = {"kind": "error", "message": "x"}
+        with pytest.raises(BodyError, match=r"outcomes\[0\]: .*exactly one"):
+            decode(ResultPush, push)
+
+    def test_cell_error_needs_string_kind_and_message(self):
+        push = encode(ResultPush(token="t", outcomes=(
+            CellOutcome(spec_hash="aa", error={"kind": "x", "message": "y"}),
+        )))
+        for error, message in (
+            ({}, r"outcomes\[0\]\.error\.kind: expected str"),
+            ({"kind": "x"}, r"outcomes\[0\]\.error\.message: expected str"),
+            ({"kind": 3, "message": "m"}, r"error\.kind: expected str"),
+        ):
+            push["outcomes"][0]["error"] = error
+            with pytest.raises(BodyError, match=message):
+                decode(ResultPush, push)
 
     def test_error_body_optional_fields_skipped_when_unset(self):
         body = ErrorBody(kind="queue_full", message="full",
                          retry_after_s=2.0, pending=10, limit=10)
-        wire = body.to_dict()
+        wire = encode(body)
         assert "expected_version" not in wire["error"]
         assert wire["error"]["retry_after_s"] == 2.0
         assert ErrorBody.from_dict(wire) == body

@@ -17,6 +17,13 @@ from repro.core.system import RunStats
 from repro.experiments.config import ExperimentScale
 from repro.experiments.orchestrator import ResultCache
 from repro.experiments.spec import SimSpec
+from repro.serve.protocol import (
+    PROTOCOL_VERSION,
+    CellOutcome,
+    JobResults,
+    ResultPush,
+    encode,
+)
 from repro.serve.scheduler import JobStore, QueueFullError
 
 TINY = ExperimentScale(name="tiny", refs_per_cpu=50)
@@ -74,6 +81,11 @@ class CountingRunner:
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def results_body(job) -> dict:
+    """The ``GET /jobs/<id>/results`` body for ``job``."""
+    return encode(JobResults.from_job(job))
 
 
 async def started_store(**kwargs) -> JobStore:
@@ -232,7 +244,7 @@ class TestInFlightDedup:
                 job_b = await store.submit([make_spec()], tenant="b")
                 runner.release()
                 await asyncio.gather(job_a.wait(), job_b.wait())
-                return job_a.results_dict(), job_b.results_dict()
+                return results_body(job_a), results_body(job_b)
             finally:
                 await store.close()
 
@@ -343,7 +355,7 @@ class TestFailureKinds:
             try:
                 job = await store.submit([make_spec()], tenant="a")
                 snapshot = await job.wait()
-                return snapshot, job.results_dict(), dict(store.totals)
+                return snapshot, results_body(job), dict(store.totals)
             finally:
                 await store.close()
 
@@ -403,12 +415,11 @@ class TestEvents:
         assert events[-1]["event"] == "done"
 
 
-def outcome_for(spec: SimSpec, error: dict = None) -> dict:
-    """A remote-worker outcome dict as push_results consumes it."""
-    base = {"spec_hash": spec.spec_hash(), "simulated": True}
+def outcome_for(spec: SimSpec, error: dict = None) -> CellOutcome:
+    """A remote-worker outcome as push_results consumes it."""
     if error is not None:
-        return {**base, "stats": None, "error": error}
-    return {**base, "stats": fake_stats(spec), "error": None}
+        return CellOutcome(spec_hash=spec.spec_hash(), error=error)
+    return CellOutcome(spec_hash=spec.spec_hash(), stats=fake_stats(spec))
 
 
 async def head_only_store(**kwargs) -> JobStore:
@@ -519,7 +530,7 @@ class TestLeases:
                     assert lease is not None
                     store.reap_expired(now=lease.deadline + 1.0)
                 snapshot = await asyncio.wait_for(job.wait(), timeout=5.0)
-                return snapshot, job.results_dict(), dict(store.totals)
+                return snapshot, results_body(job), dict(store.totals)
             finally:
                 await store.close()
 
@@ -558,6 +569,70 @@ class TestLeases:
         ack, snapshot = run(scenario())
         assert ack["accepted"] == 1
         assert ack["lease_open"] is False  # reaped leases stay closed
+        assert snapshot["state"] == "done"
+        assert snapshot["failed"] == 0
+
+    def test_malformed_error_push_is_400_and_changes_nothing(self, tmp_path):
+        """A push whose error lacks kind/message must not wedge the job.
+
+        The body is rejected before the store sees it, so the lease, the
+        in-flight entry, the cell and the journal stay as they were and
+        a correct push afterwards still completes the job.
+        """
+        from repro.serve.client import ServeClient
+        from repro.serve.server import SweepServer
+
+        async def scenario():
+            store = await head_only_store(
+                use_cache=True, cache_dir=str(tmp_path)
+            )
+            server = SweepServer(store, port=0)
+            client = ServeClient(port=await server.start(), timeout_s=10.0)
+            try:
+                spec = make_spec()
+                job = await store.submit([spec], tenant="a")
+                lease = store.grant_lease("w1")
+                path = f"/leases/{lease.lease_id}/results"
+
+                def state():
+                    with open(store.journal_path, "rb") as handle:
+                        journal = handle.read()
+                    return (
+                        list(lease.entries), list(store._inflight),
+                        store._leases.get(lease.lease_id) is lease,
+                        job.cells[0].state, journal,
+                    )
+
+                before = state()
+                bad = {
+                    "protocol_version": PROTOCOL_VERSION,
+                    "token": lease.token,
+                    "outcomes": [
+                        {"spec_hash": spec.spec_hash(), "error": {}}
+                    ],
+                }
+                status, _, body = await asyncio.to_thread(
+                    client._request, "POST", path, bad
+                )
+                assert status == 400
+                assert body["error"]["kind"] == "bad_request"
+                assert state() == before
+
+                good = ResultPush(
+                    token=lease.token, outcomes=(outcome_for(spec),)
+                )
+                ack = await asyncio.to_thread(
+                    client.push_results, lease.lease_id, good
+                )
+                snapshot = await asyncio.wait_for(job.wait(), timeout=5.0)
+                return before, ack, snapshot
+            finally:
+                await server.close()
+                await store.close()
+
+        before, ack, snapshot = run(scenario())
+        assert before[3] == "running"
+        assert ack.accepted == 1
         assert snapshot["state"] == "done"
         assert snapshot["failed"] == 0
 
@@ -620,7 +695,7 @@ class TestLeases:
                     })],
                 )
                 snapshot = await asyncio.wait_for(job.wait(), timeout=5.0)
-                return snapshot, job.results_dict()
+                return snapshot, results_body(job)
             finally:
                 await store.close()
 
