@@ -186,6 +186,11 @@ def test_serve_load(once):
 # within 15% of the same store with the journal off.
 
 WARM_SUBMISSIONS = 400
+# Windows per side; the gate compares medians.  On a shared 2-vCPU host
+# the ratio of single windows spread 0.72-1.28; the ratio of medians
+# spread 0.83-1.04 over five runs with 5 windows a side, and 0.91-1.09
+# over six runs with 9.
+JOURNAL_WINDOWS = 9
 
 
 def _synthetic_stats(spec: SimSpec):
@@ -245,22 +250,32 @@ async def _warm_submission_rate(cache_dir: str, journal: bool) -> float:
 
 
 async def _journal_overhead() -> dict:
+    """Interleaved journal-off and journal-on windows, ABBA-ordered so a
+    host that drifts in speed taxes both sides alike; each window gets
+    a fresh cache directory, so no journal carries over."""
     import shutil
+    import statistics
     import tempfile
 
+    rates: dict[bool, list[float]] = {False: [], True: []}
     root = tempfile.mkdtemp(prefix="repro-journal-bench-")
     try:
-        baseline = await _warm_submission_rate(
-            f"{root}/plain", journal=False
-        )
-        journaled = await _warm_submission_rate(
-            f"{root}/journaled", journal=True
-        )
+        for window in range(JOURNAL_WINDOWS):
+            order = (False, True) if window % 2 == 0 else (True, False)
+            for journal in order:
+                rates[journal].append(await _warm_submission_rate(
+                    f"{root}/{window}-{journal}", journal=journal
+                ))
     finally:
         shutil.rmtree(root, ignore_errors=True)
+    baseline = statistics.median(rates[False])
+    journaled = statistics.median(rates[True])
     return {
         "warm_submissions": WARM_SUBMISSIONS,
         "grid_cells": len(GRID),
+        "windows_per_side": JOURNAL_WINDOWS,
+        "baseline_window_rates": rates[False],
+        "journaled_window_rates": rates[True],
         "baseline_submissions_per_sec": baseline,
         "journaled_submissions_per_sec": journaled,
         "throughput_ratio": journaled / baseline,
@@ -279,5 +294,6 @@ def test_journal_overhead(once):
     payload["journal_overhead"] = results
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
 
-    # The WAL must stay cheap: within 15% of the in-memory submit path.
+    # The WAL must stay cheap: the median journaled window within 15% of
+    # the median in-memory one.
     assert results["throughput_ratio"] >= 0.85, results

@@ -25,7 +25,7 @@ The q-constants are calibrated against the cycle-accurate simulator
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.noc.routing import Coord, best_pillar
 from repro.core.chip import ChipTopology
@@ -76,6 +76,11 @@ class LatencyModel:
         self._faults: Optional["FaultState"] = None
         self._alive_pillars = tuple(topology.pillar_xys)
         self._alive_epoch = -1
+        # Route memo, (src, dest) -> (hops, pillar): filled lazily by
+        # path(), dropped whenever the fault epoch changes the pool.  An
+        # eager all-pairs table would cost every cell tens of thousands
+        # of best_pillar calls up front for pairs it never prices.
+        self._routes: dict[tuple[Coord, Coord], tuple] = {}
 
     def attach_fault_state(self, state: "FaultState") -> None:
         """Bind pillar-fault state; dead pillars leave the route pool."""
@@ -91,21 +96,32 @@ class LatencyModel:
                 if xy not in faults.dead_pillars
             )
             self._alive_epoch = faults.epoch
+            self._routes.clear()
         return self._alive_pillars
 
     # -- geometry -------------------------------------------------------------
 
     def path(self, src: Coord, dest: Coord) -> tuple[int, Optional[tuple[int, int]]]:
-        """(mesh hops, pillar used or None) for the dimension-order path."""
+        """(mesh hops, pillar used or None) for the dimension-order path.
+
+        Memoized per ``(src, dest)`` until the alive-pillar pool changes.
+        """
+        pool = self._pillar_pool()
+        route = self._routes.get((src, dest))
+        if route is not None:
+            return route
         if src.z == dest.z:
-            return src.manhattan_2d(dest), None
-        pillar = best_pillar(src, dest, self._pillar_pool())
-        px, py = pillar
-        hops = (
-            abs(src.x - px) + abs(src.y - py)
-            + abs(dest.x - px) + abs(dest.y - py)
-        )
-        return hops, pillar
+            route = src.manhattan_2d(dest), None
+        else:
+            pillar = best_pillar(src, dest, pool)
+            px, py = pillar
+            hops = (
+                abs(src.x - px) + abs(src.y - py)
+                + abs(dest.x - px) + abs(dest.y - py)
+            )
+            route = hops, pillar
+        self._routes[(src, dest)] = route
+        return route
 
     # -- load tracking ----------------------------------------------------------
 
@@ -127,7 +143,12 @@ class LatencyModel:
         window, so ``_mesh_rate`` approximates flit-hops per cycle.
         """
         self._decay_to(cycle)
-        hops, pillar = self.path(src, dest)
+        self._note(*self.path(src, dest), size_flits)
+
+    def _note(
+        self, hops: int, pillar: Optional[tuple[int, int]], size_flits: int
+    ) -> None:
+        """Add one packet on a resolved path to the load estimates."""
         flit_hops = hops * size_flits
         window = self.config.load_window
         # ln(2) factor makes the half-life equal to the window length.
@@ -160,26 +181,83 @@ class LatencyModel:
         record: bool = True,
     ) -> float:
         """End-to-end latency of one packet under the current load."""
-        cfg = self.config
         if src == dest:
             return 0.0
-        hops, pillar = self.path(src, dest)
+        return self._send(((src, dest),), size_flits, cycle, record)[0]
+
+    def query_round(
+        self,
+        node: Coord,
+        targets: list[Coord],
+        size_flits: int,
+        tag_latency: int,
+        cycle: float,
+    ) -> float:
+        """Worst round trip of a parallel tag-query round from ``node``.
+
+        Each target costs a request out, ``tag_latency`` and a reply
+        back.  The round costs at least ``tag_latency``, the direct probe
+        of the local tag array; a target at ``node`` itself adds nothing.
+        """
+        legs = []
+        for target in targets:
+            if target != node:
+                legs += ((node, target), (target, node))
+        latencies = self._send(legs, size_flits, cycle, True)
+        worst = float(tag_latency)
+        for i in range(0, len(latencies), 2):
+            worst = max(worst, latencies[i] + tag_latency + latencies[i + 1])
+        return worst
+
+    def _send(
+        self,
+        legs: Sequence[tuple[Coord, Coord]],
+        size_flits: int,
+        cycle: Optional[float],
+        record: bool,
+    ) -> list[float]:
+        """Price each ``(src, dest)`` leg in turn under the current load.
+
+        With ``record`` and a ``cycle``, each leg is noted before the next
+        is priced, because each note moves the load estimate.
+        """
+        if not legs:
+            # Nothing priced, nothing aged: decaying in two steps rounds
+            # differently from decaying once.
+            return []
+        self._pillar_pool()
+        routes = self._routes
+        cfg = self.config
+        injection_overhead = cfg.injection_overhead
+        hop_cycles = cfg.hop_cycles
+        q_mesh = cfg.q_mesh
+        q_bus = cfg.q_bus
+        bus_overhead = cfg.bus_overhead
+        max_utilization = cfg.max_utilization
+        capacity = self._num_nodes * cfg.mesh_capacity_factor
+        bus_rate = self._bus_rate
+        flits = float(size_flits - 1)
         if cycle is not None:
             self._decay_to(cycle)
-        rho = self.mesh_utilization()
-        per_hop_wait = cfg.q_mesh * rho / (1.0 - rho)
-        latency = cfg.injection_overhead
-        latency += hops * (cfg.hop_cycles + per_hop_wait)
-        serialization = float(size_flits - 1)
-        if pillar is not None:
-            rho_b = self.bus_utilization(pillar)
-            latency += cfg.bus_overhead
-            latency += cfg.q_bus * rho_b / (1.0 - rho_b)
-            serialization = serialization / (1.0 - rho_b)
-        latency += serialization
-        if record and cycle is not None:
-            self.note_packet(src, dest, size_flits, cycle)
-        return latency
+        record = record and cycle is not None
+        latencies = []
+        for leg in legs:
+            hops, pillar = routes.get(leg) or self.path(*leg)
+            rho = self._mesh_rate / capacity if capacity else 0.0
+            rho = min(rho, max_utilization)
+            per_hop_wait = q_mesh * rho / (1.0 - rho)
+            latency = injection_overhead
+            latency += hops * (hop_cycles + per_hop_wait)
+            serialization = flits
+            if pillar is not None:
+                rho_b = min(bus_rate.get(pillar, 0.0), max_utilization)
+                latency += bus_overhead
+                latency += q_bus * rho_b / (1.0 - rho_b)
+                serialization = serialization / (1.0 - rho_b)
+            latencies.append(latency + serialization)
+            if record:
+                self._note(hops, pillar, size_flits)
+        return latencies
 
     def zero_load_latency(self, src: Coord, dest: Coord, size_flits: int) -> float:
         """Latency ignoring all contention (for tests and sanity checks)."""

@@ -565,22 +565,6 @@ class _ModelPricer:
             ]
         return self._step1_targets[cpu_id], self._step2_targets[cpu_id]
 
-    def _query_round(
-        self, cpu_node: Coord, targets: list[Coord], cycle: float
-    ) -> float:
-        """Latency of a parallel tag-query round (max round-trip)."""
-        cfg = self.cfg
-        worst = float(cfg.tag_latency)  # the direct local tag probe
-        for tag_node in targets:
-            out = self.model.packet_latency(
-                cpu_node, tag_node, cfg.request_flits, cycle
-            )
-            back = self.model.packet_latency(
-                tag_node, cpu_node, cfg.request_flits, cycle
-            )
-            worst = max(worst, out + cfg.tag_latency + back)
-        return worst
-
     def price(self, cpu_id: int, outcome: AccessOutcome, cycle: float) -> float:
         cfg = self.cfg
         model = self.model
@@ -626,7 +610,9 @@ class _ModelPricer:
             return latency
 
         # Step 1 concluded with misses everywhere.
-        latency = self._query_round(cpu_node, step1_targets, cycle)
+        latency = model.query_round(
+            cpu_node, step1_targets, cfg.request_flits, cfg.tag_latency, cycle
+        )
 
         if outcome.hit:
             # Step-2 multicast; the hitting cluster answers.
@@ -641,7 +627,9 @@ class _ModelPricer:
             return latency
 
         # Full L2 miss: both rounds, then memory.
-        latency += self._query_round(cpu_node, step2_targets, cycle)
+        latency += model.query_round(
+            cpu_node, step2_targets, cfg.request_flits, cfg.tag_latency, cycle
+        )
         latency += cfg.memory_latency
         # Refill traffic from the memory port to the home bank.
         model.note_packet(

@@ -4,6 +4,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.chip import ChipConfig
+from repro.core.latency_model import LatencyModel
+from repro.core.placement import build_topology
+from repro.faults.state import FaultState
 from repro.noc.network import Network, NetworkConfig
 from repro.noc.routing import Coord, route_hop_count, best_pillar
 
@@ -96,6 +100,59 @@ def test_best_pillar_minimizes_detour(src, dest):
             + abs(dest.x - px) + abs(dest.y - py)
         )
         assert chosen_cost <= other
+
+
+# -- latency-model route memo vs fresh routing ------------------------------
+
+CHIP = build_topology(ChipConfig())
+CHIP_PILLARS = tuple(CHIP.pillar_xys)
+chip_coords = st.builds(
+    Coord,
+    st.integers(0, CHIP.config.mesh_dims[0] - 1),
+    st.integers(0, CHIP.config.mesh_dims[1] - 1),
+    st.integers(0, CHIP.config.num_layers - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(chip_coords, chip_coords), min_size=1, max_size=4),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.none() | st.frozensets(
+                st.sampled_from(CHIP_PILLARS), max_size=len(CHIP_PILLARS) - 1
+            ),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_memoized_path_matches_fresh_route(pairs, steps):
+    """Repeated queries, with dead-pillar sets changing between them, see
+    the same route a fresh best_pillar/Manhattan computation gives."""
+    model = LatencyModel(CHIP)
+    state = FaultState()
+    model.attach_fault_state(state)
+    for index, dead in steps:
+        if dead is not None:
+            for xy in CHIP_PILLARS:
+                if xy in dead:
+                    state.fail_pillar(xy)
+                else:
+                    state.heal_pillar(xy)
+        src, dest = pairs[index % len(pairs)]
+        if src.z == dest.z:
+            expected = (src.manhattan_2d(dest), None)
+        else:
+            alive = [xy for xy in CHIP_PILLARS if xy not in state.dead_pillars]
+            px, py = best_pillar(src, dest, alive)
+            expected = (
+                abs(src.x - px) + abs(src.y - py)
+                + abs(dest.x - px) + abs(dest.y - py),
+                (px, py),
+            )
+        assert model.path(src, dest) == expected
 
 
 # -- vector fabric vs object fabric on random small meshes ----------------

@@ -5,7 +5,8 @@ import pytest
 from repro.core.chip import ChipConfig
 from repro.core.placement import build_topology
 from repro.core.latency_model import LatencyModel, LatencyModelConfig
-from repro.noc.routing import Coord
+from repro.faults.state import FaultState
+from repro.noc.routing import Coord, best_pillar
 
 
 @pytest.fixture()
@@ -34,6 +35,51 @@ class TestPath:
         hops, pillar = model3d.path(Coord(0, 0, 0), Coord(0, 0, 1))
         px, py = pillar
         assert hops == 2 * (abs(px) + abs(py))
+
+
+class TestRouteMemo:
+    def test_dead_pillar_invalidates_cached_route(self, model3d):
+        state = FaultState()
+        model3d.attach_fault_state(state)
+        src, dest = Coord(0, 0, 0), Coord(5, 7, 1)
+        cached = model3d.path(src, dest)
+        assert model3d.path(src, dest) == cached
+        state.fail_pillar(cached[1])
+        hops, pillar = model3d.path(src, dest)
+        alive = [xy for xy in model3d.topology.pillar_xys if xy != cached[1]]
+        assert pillar == best_pillar(src, dest, alive) != cached[1]
+        px, py = pillar
+        assert hops == (
+            abs(src.x - px) + abs(src.y - py)
+            + abs(dest.x - px) + abs(dest.y - py)
+        )
+
+
+class TestQueryRound:
+    def test_matches_packet_by_packet_pricing(self, model3d):
+        """One pass prices and notes exactly like packet_latency calls."""
+        twin = LatencyModel(model3d.topology)
+        node = Coord(1, 1, 0)
+        targets = [Coord(9, 3, 1), node, Coord(4, 6, 0), Coord(14, 7, 1)]
+        tag = 3
+        for cycle in (0.0, 40.0, 40.0, 95.5, 30.0):
+            for model in (model3d, twin):
+                model.note_packet(node, Coord(12, 5, 1), 5, cycle)
+            worst = float(tag)
+            for target in targets:
+                out = twin.packet_latency(node, target, 1, cycle)
+                back = twin.packet_latency(target, node, 1, cycle)
+                worst = max(worst, out + tag + back)
+            assert model3d.query_round(node, targets, 1, tag, cycle) == worst
+        for attr in ("_mesh_rate", "_bus_rate", "_last_cycle",
+                     "flit_hops_total", "bus_flits_total",
+                     "bus_flits_by_pillar"):
+            assert getattr(model3d, attr) == getattr(twin, attr)
+
+    def test_local_targets_cost_the_tag_probe(self, model3d):
+        node = Coord(1, 1, 0)
+        assert model3d.query_round(node, [node], 1, 3, 10.0) == 3.0
+        assert model3d.flit_hops_total == 0
 
 
 class TestZeroLoad:
