@@ -33,6 +33,16 @@ CELLS = {
     "CMP-DNUCA-3D/swim+dead-pillar": SimSpec(
         Scheme.CMP_DNUCA_3D, "swim", SMALL, faults=FaultSpec(dead_pillars=1)
     ),
+    # Fig 17: two pillars carry every inter-layer packet, so the order
+    # of per-pillar bus-load updates inside a query round shows.
+    "CMP-DNUCA-3D/swim@2P-fixed": SimSpec(
+        Scheme.CMP_DNUCA_3D, "swim", SMALL, pillars=2, fixed_floorplan=True
+    ),
+    # Fig 16: a 32 MB L2 has more clusters, so the step-1 and step-2
+    # rounds query different numbers of tag arrays.
+    "CMP-DNUCA-3D/mgrid@32MB": SimSpec(
+        Scheme.CMP_DNUCA_3D, "mgrid", SMALL, cache_mb=32
+    ),
 }
 
 
