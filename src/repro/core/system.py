@@ -547,22 +547,25 @@ class _ModelPricer:
         self.model = system.model
         self.cfg = system.config
         self.topology = system.topology
-        # Per-CPU step-1 probe sets never change: cache their query targets.
-        self._step1_targets: dict[int, list[Coord]] = {}
-        self._step2_targets: dict[int, list[Coord]] = {}
+        # Per-CPU step-1 probe sets never change: cache their query
+        # targets, as tuples so the latency model can key its plans on them.
+        self._step1_targets: dict[int, tuple[Coord, ...]] = {}
+        self._step2_targets: dict[int, tuple[Coord, ...]] = {}
 
-    def _targets(self, cpu_id: int) -> tuple[list[Coord], list[Coord]]:
+    def _targets(
+        self, cpu_id: int
+    ) -> tuple[tuple[Coord, ...], tuple[Coord, ...]]:
         if cpu_id not in self._step1_targets:
             plan = self.system.l2.search.plan(cpu_id)
             topo = self.topology
-            self._step1_targets[cpu_id] = [
+            self._step1_targets[cpu_id] = tuple(
                 topo.clusters[c].tag_node
                 for c in plan.step1
                 if c != plan.local_cluster
-            ]
-            self._step2_targets[cpu_id] = [
+            )
+            self._step2_targets[cpu_id] = tuple(
                 topo.clusters[c].tag_node for c in plan.step2
-            ]
+            )
         return self._step1_targets[cpu_id], self._step2_targets[cpu_id]
 
     def price(self, cpu_id: int, outcome: AccessOutcome, cycle: float) -> float:
@@ -596,8 +599,7 @@ class _ModelPricer:
 
         if outcome.hit and outcome.search_step == 1:
             # Parallel step-1 queries: the hitting cluster's path decides.
-            for target in step1_targets:
-                model.note_packet(cpu_node, target, cfg.request_flits, cycle)
+            model.note_round(cpu_node, step1_targets, cfg.request_flits, cycle)
             if outcome.cluster == plan.local_cluster:
                 latency = float(cfg.tag_latency)
             else:
@@ -616,8 +618,7 @@ class _ModelPricer:
 
         if outcome.hit:
             # Step-2 multicast; the hitting cluster answers.
-            for target in step2_targets:
-                model.note_packet(cpu_node, target, cfg.request_flits, cycle)
+            model.note_round(cpu_node, step2_targets, cfg.request_flits, cycle)
             latency += model.packet_latency(
                 cpu_node, tag_node, cfg.request_flits, cycle, record=False
             ) + cfg.tag_latency

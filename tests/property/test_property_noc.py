@@ -1,5 +1,7 @@
 """Property-based tests for the cycle-accurate network fabric."""
 
+import copy
+
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,93 @@ def test_memoized_path_matches_fresh_route(pairs, steps):
                 (px, py),
             )
         assert model.path(src, dest) == expected
+
+
+# -- latency-model round plans vs leg-by-leg pricing -------------------------
+
+LOAD_STATE = (
+    "_mesh_rate", "_bus_rate", "_last_cycle",
+    "flit_hops_total", "bus_flits_total", "bus_flits_by_pillar",
+)
+
+
+def _memo_free_copy(model):
+    """A model with ``model``'s faults and load state and empty memos."""
+    fresh = LatencyModel(CHIP)
+    fresh.attach_fault_state(model._faults)
+    for attr in LOAD_STATE:
+        setattr(fresh, attr, copy.copy(getattr(model, attr)))
+    return fresh
+
+
+dead_sets = st.none() | st.frozensets(
+    st.sampled_from(CHIP_PILLARS), max_size=len(CHIP_PILLARS) - 1
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    preload=st.lists(
+        st.tuples(chip_coords, chip_coords, st.sampled_from((1, 5))),
+        max_size=12,
+    ),
+    rounds=st.lists(
+        # None stands for the querying node itself.
+        st.tuples(chip_coords, st.lists(st.none() | chip_coords, max_size=6)),
+        min_size=1,
+        max_size=3,
+    ),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.booleans(),
+            st.sampled_from((1, 5)),
+            st.sampled_from((0.0, 0.5, 40.0, -10.0, 700.0)),
+            dead_sets,
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_round_plans_match_leg_by_leg_pricing(preload, rounds, steps):
+    """query_round and note_round, priced from memoized plans, leave the
+    same result and load state as pricing or noting each leg in turn on
+    a twin model whose memos are empty at every step; pillars die and
+    heal between rounds, so a plan kept past its fault epoch fails."""
+    state = FaultState()
+    model = LatencyModel(CHIP)
+    model.attach_fault_state(state)
+    twin = _memo_free_copy(model)
+    for src, dest, size in preload:
+        for m in (model, twin):
+            m.note_packet(src, dest, size, 5.0)
+    cycle = 5.0
+    tag = 3
+    for index, query, size, advance, dead in steps:
+        if dead is not None:
+            for xy in CHIP_PILLARS:
+                if xy in dead:
+                    state.fail_pillar(xy)
+                else:
+                    state.heal_pillar(xy)
+        cycle += advance
+        node, spots = rounds[index % len(rounds)]
+        targets = [node if spot is None else spot for spot in spots]
+        twin = _memo_free_copy(twin)
+        if query:
+            worst = float(tag)
+            for target in targets:
+                if target != node:
+                    out = twin.packet_latency(node, target, size, cycle)
+                    back = twin.packet_latency(target, node, size, cycle)
+                    worst = max(worst, out + tag + back)
+            assert model.query_round(node, targets, size, tag, cycle) == worst
+        else:
+            for target in targets:
+                twin.note_packet(node, target, size, cycle)
+            model.note_round(node, targets, size, cycle)
+        for attr in LOAD_STATE:
+            assert getattr(model, attr) == getattr(twin, attr), attr
 
 
 # -- vector fabric vs object fabric on random small meshes ----------------
