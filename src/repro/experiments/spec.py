@@ -65,7 +65,7 @@ class SimSpec:
     # NoC fabric for mode="cycle": "optimized" (allocation-free object
     # hot path), "reference" (frozen naive oracle), or "vector" (numpy
     # structure-of-arrays batch fabric; distribution-level equivalent,
-    # fastest at every load since its occupancy-adaptive advance).
+    # fastest at saturation, slower than optimized at a cell's sparse load).
     # "auto" is accepted and resolved to a concrete name at construction
     # (vector for cycle-mode with numpy, optimized otherwise), so spec
     # hashes only ever cover concrete fabrics.  Ignored by mode="model".

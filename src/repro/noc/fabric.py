@@ -57,11 +57,13 @@ AUTO_FABRIC = "auto"
 def resolve_fabric(mode: str) -> tuple[str, str]:
     """Resolve the ``"auto"`` fabric selector to a concrete name.
 
-    Returns ``(fabric_name, reason)``.  Vector is the universal default
-    for cycle-mode whenever numpy imports — its occupancy-adaptive
-    advance matches the object fabrics at sparse load and wins ≥10x at
-    saturation — while model-mode specs and numpy-less environments fall
-    back to the optimized object fabric.
+    Returns ``(fabric_name, reason)``.  Vector is the default for
+    cycle-mode whenever numpy imports, and model-mode specs and
+    numpy-less environments fall back to the optimized object fabric.
+    Vector wins ≥10x at saturation, but it is slower at the sparse load
+    of a real cell: a cycle-mode CMP-DNUCA-3D/swim cell at 40 refs/CPU
+    takes about 1.85x as long on vector as on optimized, with identical
+    ``RunStats`` (perfbench's ``cycle_3d`` workload runs both).
     """
     if mode != "cycle":
         return (
