@@ -510,7 +510,13 @@ class VectorFabric(ClockedComponent):
                 self._links_in_flight += len(batch[0])
             if due is not None:
                 self._links_in_flight -= len(due[0])
-                self._deposit(*due)
+                if type(due[0]) is list:
+                    # A sparse step's handful of flits: scalar deposits
+                    # beat numpy's fixed per-call cost.
+                    for flat_in, pkt, seq in zip(*due):
+                        self._deposit_one(flat_in, pkt, seq)
+                else:
+                    self._deposit(*due)
         if self._inj_pending:
             self._nic_step(cycle)
         for flat_in, pkt, seq in rx_deposits:
@@ -624,7 +630,9 @@ class VectorFabric(ClockedComponent):
                 np.add.at(self._out_credits, indexes, 1)
             self._stage_out.clear()
         if self._stage_out_scalar:
-            np.add.at(self._out_credits, self._stage_out_scalar, 1)
+            out_credits = self._out_credits
+            for index in self._stage_out_scalar:
+                out_credits[index] += 1
             self._stage_out_scalar.clear()
         if self._stage_nic:
             for indexes in self._stage_nic:
@@ -662,8 +670,8 @@ class VectorFabric(ClockedComponent):
         for arr in new:
             staged += len(arr)
         # Above ~1/8 mesh occupancy a full contiguous rescan beats the
-        # fancy-index merge (sort + insert reallocates O(occupied) every
-        # cycle); the incremental path is for the sparse regime it
+        # fancy-index merge (concatenate + sort reallocates O(occupied)
+        # every cycle); the incremental path is for the sparse regime it
         # exists to serve.  Entering dense mode also turns off the
         # per-deposit membership bookkeeping until occupancy falls back.
         if (occ.size + staged) * 8 >= self._in_occ.size:
@@ -674,13 +682,14 @@ class VectorFabric(ClockedComponent):
             self._occ = occ
             return occ
         if staged:
+            # ``_in_occ`` keeps staged indexes out of ``occ``, so one
+            # concatenate + sort is the exact sorted union.
             if new_scalar:
                 new.append(np.array(new_scalar, np.int64))
                 new_scalar.clear()
-            add = new[0] if len(new) == 1 else np.concatenate(new)
+            occ = np.concatenate((occ, *new))
             new.clear()
-            add.sort()
-            occ = np.insert(occ, np.searchsorted(occ, add), add)
+            occ.sort()
         if occ.size:
             live = self._buf_cnt[occ] > 0
             if not live.all():
@@ -990,11 +999,8 @@ class VectorFabric(ClockedComponent):
                     batch_pkt.append(pkt)
                     batch_seq.append(seq)
         if batch_in:
-            return (
-                np.array(batch_in, np.int64),
-                np.array(batch_pkt, np.int64),
-                np.array(batch_seq, np.int64),
-            )
+            # Handed on as lists: advance deposits them one by one.
+            return (batch_in, batch_pkt, batch_seq)
         return None
 
     def _nic_step(self, cycle: int) -> None:
@@ -1027,10 +1033,10 @@ class VectorFabric(ClockedComponent):
             act = self._nic_act
             new = self._nic_act_new
             if new:
-                add = np.array(new, np.int64)
+                # ``_nic_in_act`` keeps staged routers out of ``act``.
+                act = np.concatenate((act, np.array(new, np.int64)))
                 new.clear()
-                add.sort()
-                act = np.insert(act, np.searchsorted(act, add), add)
+                act.sort()
             if act.size:
                 live = (self._queue_len[act] > 0) | (self._inj_pkt[act] >= 0)
                 if not live.all():

@@ -368,6 +368,47 @@ def test_flush_idle_stats_called_at_end_of_run():
     assert flushed == [50]
 
 
+@pytest.mark.parametrize("tracking", [False, True])
+def test_flush_idle_stats_called_at_end_of_every_run_until(tracking):
+    flushed = []
+
+    class Flusher(ClockedComponent):
+        def __init__(self, tag):
+            self.tag = tag
+
+        def is_idle(self):
+            return True
+
+        def flush_idle_stats(self, cycle):
+            flushed.append((self.tag, cycle))
+
+    class Inherits(Flusher):
+        """Overrides nothing itself: the hook comes from its parent."""
+
+    engine = Engine(activity_tracking=tracking)
+    engine.register(Recorder())  # no override: never asked to flush
+    engine.register(Inherits("inherited"))
+    done = []
+    engine.schedule(5, lambda: done.append(True))
+    engine.run_until(lambda: bool(done))
+    assert flushed == [("inherited", 6)]
+
+    class LateRegistrar(ClockedComponent):
+        def advance(self, cycle):
+            if not done[1:]:
+                done.append(True)
+                engine.register(Flusher("late"))
+
+    engine.register(LateRegistrar())
+    engine.run_until(lambda: len(done) == 2)
+    engine.run_until(lambda: True)
+    assert flushed == [
+        ("inherited", 6),
+        ("inherited", 7), ("late", 7),
+        ("inherited", 7), ("late", 7),
+    ]
+
+
 # -- post queue (hot-path credit returns) -----------------------------------
 
 
