@@ -26,8 +26,9 @@ implementing three hooks on :class:`~repro.sim.engine.ClockedComponent`:
   kernel — an idle component that mutates state without being woken
   simply stops being simulated.
 * ``flush_idle_stats(cycle)`` — components with per-cycle accounting
-  (the pillar bus) replay their skipped idle cycles here; the engine
-  invokes it at the end of ``run``/``run_until``.
+  (the pillar bus) replay their skipped idle cycles here; at the end of
+  ``run``/``run_until`` the engine invokes it on every registered
+  component whose class overrides the base no-op, and on no other.
 
 Determinism guarantee: idle cycles are behaviour-free by definition, so
 the activity-tracked and naive kernels produce bit-identical component
